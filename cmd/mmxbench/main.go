@@ -85,15 +85,12 @@ func main() {
 	opt := core.DefaultOptions()
 	opt.SkipCheck = *skipCheck
 	opt.PerfectCache = *perfectCache
-	switch *dispatch {
-	case "auto":
-		opt.Dispatch = core.DispatchAuto
-	case "trace", "block", "predecode", "generic":
-		opt.Dispatch = *dispatch
-	default:
-		fmt.Fprintf(os.Stderr, "mmxbench: -dispatch: unknown mode %q (want auto, trace, block, predecode or generic)\n", *dispatch)
+	mode, err := core.ParseDispatch(*dispatch)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mmxbench: -dispatch: %v\n", err)
 		os.Exit(2)
 	}
+	opt.Dispatch = mode
 	cfg := pentium.DefaultConfig()
 	cfg.DisablePairing = *noPairing
 	cfg.DisableBTB = *noBTB
@@ -152,12 +149,6 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		mode := *dispatch
-		if mode == "auto" {
-			// Auto resolves to block dispatch for profiled (untraced)
-			// runs; record the effective mode.
-			mode = "block"
-		}
 		if err := writeBenchJSON(*benchJSON, rs, elapsed, mode, *benchCommit); err != nil {
 			fmt.Fprintf(os.Stderr, "mmxbench: -bench-json: %v\n", err)
 			os.Exit(1)

@@ -21,6 +21,11 @@ const (
 	StackSize = 0x10000
 	// stackGuard keeps a small red zone below the initial stack pointer.
 	stackGuard = 16
+	// MaxMemSize caps a linked program's whole memory image (data, BSS
+	// and stack), which every run allocates. The suite's largest image is
+	// under 3 MiB; the cap stops a short listing of large .reserve
+	// directives from costing gigabytes per run.
+	MaxMemSize = 64 << 20
 )
 
 // Program is a linked, executable image.
@@ -124,6 +129,7 @@ type Builder struct {
 	data    []byte
 	symbols map[string]uint32 // relative to DataBase during building
 	bss     []bssEntry
+	bssSize uint64 // sum of the 8-byte-aligned reservations
 	procs   []ProcInfo
 	entry   int
 	errs    []error
@@ -272,6 +278,15 @@ func (b *Builder) Doubles(name string, v []float64) {
 // 8-byte aligned.
 func (b *Builder) Reserve(name string, size int) {
 	b.bss = append(b.bss, bssEntry{name, uint32(size)})
+	b.bssSize += (uint64(size) + 7) &^ 7
+}
+
+// memSize is the page-aligned image the builder's contents link to: data
+// and BSS from DataBase, then the stack. The uint64 sum cannot wrap, so
+// no number of reservations slips under MaxMemSize.
+func (b *Builder) memSize() uint64 {
+	size := DataBase + (uint64(len(b.data))+7)&^7 + b.bssSize + StackSize
+	return (size + 0xFFF) &^ 0xFFF
 }
 
 // ---------------------------------------------------------------------------
@@ -283,6 +298,10 @@ func (b *Builder) Link() (*Program, error) {
 	b.closeProc()
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
+	}
+	memSize := b.memSize()
+	if memSize > MaxMemSize {
+		return nil, fmt.Errorf("asm(%s): memory image of %d bytes exceeds the %d-byte cap", b.name, memSize, MaxMemSize)
 	}
 
 	// Lay out BSS after initialized data, both 8-byte aligned.
@@ -344,9 +363,6 @@ func (b *Builder) Link() (*Program, error) {
 		}
 	}
 
-	memSize := uint32(DataBase) + uint32(len(b.data)) + bssSize + StackSize
-	memSize = (memSize + 0xFFF) &^ 0xFFF // page-align the image
-
 	labels := make(map[string]int, len(b.labels))
 	for k, v := range b.labels {
 		labels[k] = v
@@ -368,7 +384,7 @@ func (b *Builder) Link() (*Program, error) {
 		Symbols: symbols,
 		Data:    data,
 		BSSSize: bssSize,
-		MemSize: memSize,
+		MemSize: uint32(memSize),
 		Procs:   procs,
 	}, nil
 }

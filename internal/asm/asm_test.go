@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -75,6 +76,38 @@ func TestLinkErrors(t *testing.T) {
 	b.I(isa.HALT)
 	if _, err := b.Link(); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("want duplicate-symbol error, got %v", err)
+	}
+
+	// 256 × 16 MiB once wrapped the 32-bit BSS sum to a 128 KiB image
+	// with aliased symbols; the layout must refuse it, not wrap.
+	b = NewBuilder("t")
+	for i := 0; i < 256; i++ {
+		b.Reserve(fmt.Sprintf("r%d", i), 1<<24)
+	}
+	b.I(isa.HALT)
+	if _, err := b.Link(); err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("want memory-image cap error, got %v", err)
+	}
+}
+
+func TestLinkMemSizeUpToCap(t *testing.T) {
+	link := func(extra int) (*Program, error) {
+		b := NewBuilder("t")
+		b.Words("d", []int16{1})
+		b.Reserve("a", 3)
+		b.Reserve("big", MaxMemSize-DataBase-StackSize-16+extra)
+		b.I(isa.HALT)
+		return b.Link()
+	}
+	p, err := link(0)
+	if err != nil {
+		t.Fatalf("image of exactly the cap: %v", err)
+	}
+	if p.MemSize != MaxMemSize || p.Symbols["big"] != DataBase+16 {
+		t.Errorf("MemSize %d, big at %#x; want %d and %#x", p.MemSize, p.Symbols["big"], MaxMemSize, DataBase+16)
+	}
+	if _, err := link(1); err == nil {
+		t.Error("an image one byte over the cap linked")
 	}
 }
 

@@ -234,6 +234,9 @@ func parseDirective(b *Builder, line string) error {
 	if len(b.errs) > 0 {
 		return b.errs[len(b.errs)-1]
 	}
+	if size := b.memSize(); size > MaxMemSize {
+		return fmt.Errorf("memory image of %d bytes exceeds the %d-byte cap", size, MaxMemSize)
+	}
 	return nil
 }
 

@@ -79,6 +79,13 @@ func TestParseSourceErrorLineInfo(t *testing.T) {
 			line: 2,
 			want: "too many operands",
 		},
+		{
+			// 64 maximal reserves once linked to a 1 GiB image.
+			name: "reserve crossing the memory-image cap",
+			src:  maxReserves(64),
+			line: 4,
+			want: fmt.Sprintf("exceeds the %d-byte cap", asm.MaxMemSize),
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,6 +102,16 @@ func TestParseSourceErrorLineInfo(t *testing.T) {
 			}
 		})
 	}
+}
+
+// maxReserves is a listing of n maximal (16 MiB) .reserve directives and
+// a halt: 256 of them once wrapped the linker's 32-bit layout sum.
+func maxReserves(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, ".reserve r%d 16777216\n", i)
+	}
+	return b.String() + "halt\n"
 }
 
 // TestParseSourceErrorStopsAtFirst pins that parsing reports the earliest

@@ -172,6 +172,7 @@ func FuzzAsmSource(f *testing.F) {
 	if prog, err := suite.All()[0].Build(); err == nil {
 		f.Add(prog.Listing())
 	}
+	f.Add(maxReserves(256))
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {
 			t.Skip("oversized input")
@@ -179,6 +180,14 @@ func FuzzAsmSource(f *testing.F) {
 		prog, err := asm.ParseSource("fuzz", src)
 		if err != nil {
 			return
+		}
+		if prog.MemSize > asm.MaxMemSize {
+			t.Fatalf("memory image of %d bytes escaped the %d-byte cap", prog.MemSize, asm.MaxMemSize)
+		}
+		for name, addr := range prog.Symbols {
+			if addr > prog.MemSize-asm.StackSize {
+				t.Fatalf("symbol %q at %#x lies outside the %d-byte image's data", name, addr, prog.MemSize)
+			}
 		}
 		listing := prog.Listing()
 		re, err := asm.ParseSource("fuzz", listing)

@@ -9,11 +9,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mmxdsp/internal/core"
 	"mmxdsp/internal/server"
 )
 
@@ -47,7 +49,7 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 	mux.HandleFunc("/programs", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(server.ProgramsResponse{
 			Programs:      []server.ProgramInfo{{Name: "fir.mmx"}, {Name: "fft.c"}},
-			DispatchModes: []string{"block", "predecode", "generic"},
+			DispatchModes: core.DispatchModes(),
 		})
 	})
 	mux.HandleFunc("/run", func(w http.ResponseWriter, r *http.Request) {
@@ -490,6 +492,9 @@ func TestProgramsDiscoveryProxied(t *testing.T) {
 	}
 	if len(pr.Programs) != 2 || pr.Programs[0].Name != "fir.mmx" {
 		t.Errorf("proxied programs %+v", pr.Programs)
+	}
+	if !reflect.DeepEqual(pr.DispatchModes, core.DispatchModes()) {
+		t.Errorf("proxied dispatch modes %v, want the registry's %v", pr.DispatchModes, core.DispatchModes())
 	}
 }
 

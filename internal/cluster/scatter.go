@@ -27,8 +27,8 @@ import (
 // SuiteRequest is the JSON body of POST /suite. An empty body (or empty
 // object) runs the whole suite with default options.
 type SuiteRequest struct {
-	// Dispatch selects the backends' interpreter loop ("", "auto",
-	// "trace", "block", "predecode", "generic").
+	// Dispatch selects the backends' interpreter loop ("" or any name
+	// core.ParseDispatch accepts).
 	Dispatch string `json:"dispatch,omitempty"`
 	// TimeoutMS bounds each routed program run (0 = backend default).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -155,10 +155,8 @@ func parseSuiteRequest(data []byte) (*SuiteRequest, error) {
 	if err := dec.Decode(req); err != nil {
 		return nil, fmt.Errorf("invalid JSON: %w", err)
 	}
-	switch req.Dispatch {
-	case "", "auto", core.DispatchBlock, core.DispatchTrace, core.DispatchPredecode, core.DispatchGeneric:
-	default:
-		return nil, fmt.Errorf("unknown dispatch mode %q", req.Dispatch)
+	if _, err := core.ParseDispatch(req.Dispatch); err != nil {
+		return nil, err
 	}
 	if req.TimeoutMS < 0 {
 		return nil, fmt.Errorf("negative timeout_ms %d", req.TimeoutMS)

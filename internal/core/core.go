@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 	"time"
 
 	"mmxdsp/internal/asm"
@@ -55,23 +57,43 @@ func (b Benchmark) Name() string {
 	return b.Base + "." + b.Version
 }
 
-// Dispatch modes for Options.Dispatch.
+// Dispatch modes for Options.Dispatch. Results are byte-identical in
+// every mode; only host throughput differs.
 const (
 	// DispatchAuto lets the VM pick the fastest applicable inner loop:
-	// block dispatch when the observer supports it, per-event otherwise
+	// trace dispatch when the observer supports it, per-event otherwise
 	// (tracing attaches a Tee, which forces the per-event path).
 	DispatchAuto = ""
-	// DispatchBlock is DispatchAuto under its explicit name.
+	// DispatchTrace layers runtime superblock formation with register
+	// caching on top of block dispatch (see vm/trace.go).
+	DispatchTrace = "trace"
+	// DispatchBlock pins basic-block dispatch (see vm/block.go).
 	DispatchBlock = "block"
 	// DispatchPredecode pins the per-event predecoded loop.
 	DispatchPredecode = "predecode"
 	// DispatchGeneric runs the decode-per-step reference interpreter.
 	DispatchGeneric = "generic"
-	// DispatchTrace layers runtime superblock formation with register
-	// caching on top of block dispatch (see vm/trace.go). Results are
-	// byte-identical to every other mode; only throughput differs.
-	DispatchTrace = "trace"
 )
+
+// dispatchModes is the dispatch registry: every spelling ParseDispatch
+// accepts besides "", in the order DispatchModes reports them.
+var dispatchModes = []string{"auto", DispatchTrace, DispatchBlock, DispatchPredecode, DispatchGeneric}
+
+// DispatchModes lists the accepted dispatch names.
+func DispatchModes() []string { return slices.Clone(dispatchModes) }
+
+// ParseDispatch validates a dispatch name and resolves it to the inner
+// loop it selects: "" and "auto" resolve to DispatchTrace. Every surface
+// that accepts a dispatch name validates it here.
+func ParseDispatch(name string) (string, error) {
+	if name == DispatchAuto || name == "auto" {
+		return DispatchTrace, nil
+	}
+	if !slices.Contains(dispatchModes, name) {
+		return "", fmt.Errorf("unknown dispatch mode %q (want %s)", name, strings.Join(dispatchModes, ", "))
+	}
+	return name, nil
+}
 
 // Options configures a run.
 type Options struct {
@@ -110,9 +132,8 @@ type Options struct {
 	// Progress, when non-nil, is invoked by RunAll as each benchmark
 	// retires (in completion order, serialized). Run ignores it.
 	Progress func(RunStatus)
-	// Dispatch selects the interpreter inner loop (DispatchAuto,
-	// DispatchTrace, DispatchBlock, DispatchPredecode or
-	// DispatchGeneric). Run rejects unknown values.
+	// Dispatch selects the interpreter inner loop by any name
+	// ParseDispatch accepts. Run rejects unknown values.
 	Dispatch string
 	// Ctx, when non-nil, cancels work in flight: Run installs a VM poll
 	// hook that aborts the interpreter within vm.DefaultPollInterval
@@ -159,8 +180,8 @@ type Result struct {
 	Wall time.Duration
 	// Blocks reports block-dispatch coverage for the run.
 	Blocks BlockStats
-	// Traces reports trace-dispatch behavior (zero unless Dispatch was
-	// DispatchTrace): superblocks formed, full iterations, side exits.
+	// Traces reports trace-dispatch behavior (zero unless the run used
+	// trace dispatch): superblocks formed, full iterations, side exits.
 	Traces TraceStats
 	// BudgetExhausted marks a partial run: the instruction budget expired
 	// before HALT and Options.PartialOnBudget let it return a Result
@@ -282,17 +303,13 @@ func RunCompiled(comp *Compiled, opt Options) (*Result, error) {
 	if opt.Ctx != nil {
 		cpu.Poll = opt.Ctx.Err
 	}
-	switch opt.Dispatch {
-	case DispatchAuto, DispatchBlock:
-	case DispatchTrace:
-		cpu.Traces = true
-	case DispatchPredecode:
-		cpu.NoBlocks = true
-	case DispatchGeneric:
-		cpu.Generic = true
-	default:
-		return nil, fmt.Errorf("core: run %s: unknown dispatch mode %q", b.Name(), opt.Dispatch)
+	mode, err := ParseDispatch(opt.Dispatch)
+	if err != nil {
+		return nil, fmt.Errorf("core: run %s: %w", b.Name(), err)
 	}
+	cpu.NoTraces = mode == DispatchBlock
+	cpu.NoBlocks = mode == DispatchPredecode
+	cpu.Generic = mode == DispatchGeneric
 	var tracer *profile.Tracer
 	if opt.Trace != nil {
 		tracer = &profile.Tracer{W: opt.Trace, Limit: opt.TraceLimit, MeasuredOnly: true}

@@ -125,8 +125,8 @@ func runDispatch(t *testing.T, prog *asm.Program, mode string) *threeWayOutcome 
 	case "predecode":
 		cpu.NoBlocks = true
 	case "block":
+		cpu.NoTraces = true
 	case "trace":
-		cpu.Traces = true
 		// A low threshold makes the short fuzz loops actually form traces.
 		cpu.TraceThreshold = 4
 	default:
@@ -135,6 +135,9 @@ func runDispatch(t *testing.T, prog *asm.Program, mode string) *threeWayOutcome 
 	cpu.Hier = mem.NewHierarchy()
 	if err := cpu.Run(1 << 24); err != nil {
 		t.Fatalf("run (%s): %v", mode, err)
+	}
+	if st := cpu.TraceStats(); mode != "trace" && st.Formed != 0 {
+		t.Fatalf("%s leg formed %d traces: it ran the trace loop", mode, st.Formed)
 	}
 	out := &threeWayOutcome{
 		executed: cpu.Executed(),

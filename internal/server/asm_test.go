@@ -253,6 +253,35 @@ func TestAsmParseErrorPositions(t *testing.T) {
 	}
 }
 
+// TestAsmMemoryImageCap: a short listing of maximal .reserve directives
+// must not link to an image every run allocates (64 of them once made
+// 1 GiB; 256 wrapped the layout sum). It answers 400 naming the line of
+// the reserve that crosses asm.MaxMemSize.
+func TestAsmMemoryImageCap(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	for _, n := range []int{64, 256} {
+		var src strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&src, ".reserve r%d 16777216\n", i)
+		}
+		src.WriteString("halt\n")
+		resp, data := postAsm(t, ts.URL, asmBody(t, map[string]any{"source": src.String()}), nil)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%d reserves: status %d, want 400: %s", n, resp.StatusCode, data)
+		}
+		var e struct {
+			Error string `json:"error"`
+			Line  int    `json:"line"`
+		}
+		if err := json.Unmarshal(data, &e); err != nil {
+			t.Fatalf("decoding error body: %v: %s", err, data)
+		}
+		if e.Line != 4 || !strings.Contains(e.Error, "memory image") {
+			t.Errorf("%d reserves: error at line %d (%q), want line 4 naming the memory image", n, e.Line, e.Error)
+		}
+	}
+}
+
 func TestAsmRequestValidation(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{AsmMaxInstrsCap: 1000000})
 	cases := []struct {

@@ -8,10 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
+	"mmxdsp/internal/core"
 	"mmxdsp/internal/server"
 	"mmxdsp/internal/suite"
 )
@@ -48,8 +51,15 @@ func TestProgramsEndpoint(t *testing.T) {
 	if !ok || fir.Base != "fir" || fir.Version != "mmx" || fir.Kind != "kernel" || fir.Descr == "" {
 		t.Errorf("fir.mmx entry malformed: %+v (ok=%t)", fir, ok)
 	}
-	if len(pr.DispatchModes) != 3 {
-		t.Errorf("dispatch modes %v, want the three interpreter loops", pr.DispatchModes)
+	// The advertised list is the dispatch registry's, so every mode a
+	// client discovers is one /run accepts, trace and auto included.
+	if !reflect.DeepEqual(pr.DispatchModes, core.DispatchModes()) {
+		t.Errorf("dispatch modes %v, want the registry's %v", pr.DispatchModes, core.DispatchModes())
+	}
+	for _, mode := range []string{"auto", core.DispatchTrace} {
+		if !slices.Contains(pr.DispatchModes, mode) {
+			t.Errorf("dispatch modes %v lack %q", pr.DispatchModes, mode)
+		}
 	}
 
 	post, err := http.Post(ts.URL+"/programs", "application/json", nil)

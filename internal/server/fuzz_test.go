@@ -43,10 +43,8 @@ func FuzzParseRequest(f *testing.F) {
 			t.Fatalf("negative budget escaped validation: instrs=%d timeout=%d",
 				req.MaxInstrs, req.TimeoutMS)
 		}
-		switch req.dispatchMode() {
-		case core.DispatchAuto, core.DispatchBlock, core.DispatchPredecode, core.DispatchGeneric:
-		default:
-			t.Fatalf("dispatch mode %q escaped validation", req.dispatchMode())
+		if _, err := core.ParseDispatch(req.dispatchMode()); err != nil {
+			t.Fatalf("dispatch mode %q escaped validation: %v", req.dispatchMode(), err)
 		}
 		cfg := req.pentiumConfig()
 		// EmmsLatency -1 is the "use the ISA table" sentinel.

@@ -264,10 +264,8 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		}
 		req.TimeoutMS = ms
 	}
-	switch req.Dispatch {
-	case "", "auto", core.DispatchBlock, core.DispatchTrace, core.DispatchPredecode, core.DispatchGeneric:
-	default:
-		writeError(w, http.StatusBadRequest, errors.New("unknown dispatch mode "+strconv.Quote(req.Dispatch)))
+	if _, err := core.ParseDispatch(req.Dispatch); err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -311,17 +309,15 @@ func (s *Server) tableResult(ctx context.Context, req *RunRequest) (*CachedResul
 }
 
 // WarmSuite renders and caches the whole-suite /table artifact for each
-// given dispatch mode ("auto", "trace", "block", "predecode" or "generic"),
+// given dispatch mode (any name core.ParseDispatch accepts),
 // so a daemon answers its first table request — and, through the shared
 // compiled-program cache, first per-program runs — warm instead of paying
 // the full sweep in request latency. Intended to run before serving starts;
 // it uses the same admission, caches and metrics as a live request.
 func (s *Server) WarmSuite(ctx context.Context, modes []string) error {
 	for _, mode := range modes {
-		switch mode {
-		case "", "auto", core.DispatchBlock, core.DispatchTrace, core.DispatchPredecode, core.DispatchGeneric:
-		default:
-			return fmt.Errorf("warm suite: unknown dispatch mode %q", mode)
+		if _, err := core.ParseDispatch(mode); err != nil {
+			return fmt.Errorf("warm suite: %w", err)
 		}
 		// The request mirrors handleTable's exactly so the cached bytes key
 		// identically to later GET /table traffic.
@@ -438,10 +434,8 @@ func (s *Server) handlePrograms(w http.ResponseWriter, r *http.Request) {
 	}
 	benches := s.cfg.Benchmarks()
 	resp := ProgramsResponse{
-		Programs: make([]ProgramInfo, 0, len(benches)),
-		DispatchModes: []string{
-			core.DispatchBlock, core.DispatchPredecode, core.DispatchGeneric,
-		},
+		Programs:      make([]ProgramInfo, 0, len(benches)),
+		DispatchModes: core.DispatchModes(),
 	}
 	for _, b := range benches {
 		resp.Programs = append(resp.Programs, ProgramInfo{

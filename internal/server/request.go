@@ -80,8 +80,8 @@ func (c *ConfigOverride) cacheSpec() core.CacheSpec {
 type RunRequest struct {
 	// Program is the paper-style program name, e.g. "fft.mmx".
 	Program string `json:"program"`
-	// Dispatch selects the interpreter inner loop: "", "auto", "trace",
-	// "block", "predecode" or "generic".
+	// Dispatch selects the interpreter inner loop: "" or any name
+	// core.ParseDispatch accepts ("" and "auto" select trace).
 	Dispatch string `json:"dispatch,omitempty"`
 	// MaxInstrs bounds execution (0 = the runner's generous default).
 	MaxInstrs int64 `json:"max_instrs,omitempty"`
@@ -126,10 +126,8 @@ func ParseRunRequest(data []byte) (*RunRequest, error) {
 
 // validateRunFields range-checks the execution knobs /run and /asm share.
 func validateRunFields(dispatch string, maxInstrs, timeoutMS int64, c *ConfigOverride) error {
-	switch dispatch {
-	case "", "auto", core.DispatchBlock, core.DispatchTrace, core.DispatchPredecode, core.DispatchGeneric:
-	default:
-		return fmt.Errorf("unknown dispatch mode %q (want auto, block, trace, predecode or generic)", dispatch)
+	if _, err := core.ParseDispatch(dispatch); err != nil {
+		return err
 	}
 	if maxInstrs < 0 {
 		return fmt.Errorf("negative max_instrs %d", maxInstrs)

@@ -67,15 +67,15 @@ func BenchmarkStep(b *testing.B) {
 	})
 	b.Run("block", func(b *testing.B) {
 		code := Compile(prog)
-		run(b, func() *CPU { return NewWithCode(code) })
+		run(b, func() *CPU {
+			c := NewWithCode(code)
+			c.NoTraces = true
+			return c
+		})
 	})
 	b.Run("trace", func(b *testing.B) {
 		code := Compile(prog)
-		run(b, func() *CPU {
-			c := NewWithCode(code)
-			c.Traces = true
-			return c
-		})
+		run(b, func() *CPU { return NewWithCode(code) })
 	})
 }
 
@@ -88,6 +88,7 @@ func BenchmarkBlockStep(b *testing.B) {
 	n := int64(0)
 	for i := 0; i < b.N; i++ {
 		c := NewWithCode(code)
+		c.NoTraces = true
 		if err := c.Run(1 << 20); err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +106,6 @@ func BenchmarkTraceStep(b *testing.B) {
 	n := int64(0)
 	for i := 0; i < b.N; i++ {
 		c := NewWithCode(code)
-		c.Traces = true
 		if err := c.Run(1 << 20); err != nil {
 			b.Fatal(err)
 		}

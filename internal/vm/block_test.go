@@ -55,6 +55,7 @@ func runHier(t *testing.T, prog *asm.Program, noBlocks bool) (*profile.Report, *
 	cpu := vm.New(prog)
 	cpu.Obs = col
 	cpu.NoBlocks = noBlocks
+	cpu.NoTraces = true
 	cpu.Hier = mem.NewHierarchy()
 	if err := cpu.Run(1 << 30); err != nil {
 		t.Fatalf("run (noBlocks=%v): %v", noBlocks, err)
@@ -103,6 +104,7 @@ func TestBlockPathPerfectCacheMatches(t *testing.T) {
 		cpu := vm.New(prog)
 		cpu.Obs = col
 		cpu.NoBlocks = noBlocks
+		cpu.NoTraces = true
 		if err := cpu.Run(1 << 30); err != nil {
 			t.Fatalf("run (noBlocks=%v): %v", noBlocks, err)
 		}

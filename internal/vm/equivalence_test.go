@@ -89,15 +89,18 @@ func runPath(t *testing.T, prog *asm.Program, mode string) *runOutcome {
 		cpu.Obs = hasher
 	case "block":
 		cpu.Obs = col
+		cpu.NoTraces = true
 	case "trace":
 		cpu.Obs = col
-		cpu.Traces = true
 	default:
 		t.Fatalf("unknown mode %q", mode)
 	}
 	cpu.Hier = mem.NewHierarchy()
 	if err := cpu.Run(1 << 31); err != nil {
 		t.Fatalf("run (%s): %v", mode, err)
+	}
+	if st := cpu.TraceStats(); mode != "trace" && st.Formed != 0 {
+		t.Fatalf("%s leg formed %d traces: it ran the trace loop", mode, st.Formed)
 	}
 
 	out := &runOutcome{

@@ -94,7 +94,7 @@ const (
 const traceDynExit int32 = -1
 
 // TraceObserver is an optional extension of BlockObserver. When a CPU's
-// observer implements it (and CPU.Traces is set), Run uses trace dispatch
+// observer implements it (and CPU.NoTraces is unset), Run uses trace dispatch
 // and reports whole trace iterations instead of per-block calls.
 type TraceObserver interface {
 	BlockObserver

@@ -44,7 +44,6 @@ func traceLoopProg() *asm.Program {
 // a superblock on a hot loop and retires the bulk of the run inside it.
 func TestTraceFormationAndResidency(t *testing.T) {
 	c := vm.NewWithCode(vm.Compile(traceLoopProg()))
-	c.Traces = true
 	if err := c.Run(1 << 24); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +72,6 @@ func TestTraceBudgetExact(t *testing.T) {
 	genErr := gen.Run(budget)
 
 	trc := vm.NewWithCode(vm.Compile(traceLoopProg()))
-	trc.Traces = true
 	trcErr := trc.Run(budget)
 
 	if genErr == nil || trcErr == nil {
@@ -100,7 +98,6 @@ func TestTracePollCancellation(t *testing.T) {
 	errCancel := errors.New("cancelled")
 
 	trc := vm.NewWithCode(vm.Compile(traceLoopProg()))
-	trc.Traces = true
 	trc.PollEvery = 64 // poll at superblock iteration boundaries
 	trc.Poll = func() error {
 		if trc.Executed() >= 5000 {
@@ -178,7 +175,6 @@ func TestTraceDeoptReformation(t *testing.T) {
 	}
 
 	trc := vm.NewWithCode(vm.Compile(build()))
-	trc.Traces = true
 	trc.TraceThreshold = 4
 	if err := trc.Run(1 << 24); err != nil {
 		t.Fatal(err)
@@ -237,7 +233,6 @@ func traceTreeProg(outer int) *asm.Program {
 // the final machine state still matches the generic interpreter.
 func TestTraceTreeGrowth(t *testing.T) {
 	trc := vm.NewWithCode(vm.Compile(traceTreeProg(256)))
-	trc.Traces = true
 	trc.TraceThreshold = 4
 	if err := trc.Run(1 << 24); err != nil {
 		t.Fatal(err)
@@ -276,7 +271,6 @@ func TestTraceTreeBudgetExact(t *testing.T) {
 	genErr := gen.Run(budget)
 
 	trc := vm.NewWithCode(vm.Compile(traceTreeProg(256)))
-	trc.Traces = true
 	trc.TraceThreshold = 4
 	trcErr := trc.Run(budget)
 
@@ -304,7 +298,6 @@ func TestTraceTreePollCancellation(t *testing.T) {
 	errCancel := errors.New("cancelled")
 
 	trc := vm.NewWithCode(vm.Compile(traceTreeProg(256)))
-	trc.Traces = true
 	trc.TraceThreshold = 4
 	trc.PollEvery = 64
 	trc.Poll = func() error {
@@ -375,7 +368,6 @@ func TestTraceTreeGuardFlapping(t *testing.T) {
 	}
 
 	trc := vm.NewWithCode(vm.Compile(build()))
-	trc.Traces = true
 	trc.TraceThreshold = 4
 	if err := trc.Run(1 << 24); err != nil {
 		t.Fatal(err)

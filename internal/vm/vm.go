@@ -75,11 +75,12 @@ type CPU struct {
 	// retirement. Differential tests pin all three paths against each
 	// other.
 	NoBlocks bool
-	// Traces enables the trace dispatcher (see trace.go): block dispatch
-	// plus runtime hot-chain detection, superblock fusion across taken
-	// branches and register caching inside the fused bodies. Requires an
-	// observer implementing TraceObserver (or none).
-	Traces bool
+	// NoTraces disables the trace dispatcher (see trace.go) — block
+	// dispatch plus runtime hot-chain detection, superblock fusion across
+	// taken branches and register caching inside the fused bodies —
+	// pinning plain block dispatch. Trace dispatch is otherwise used
+	// whenever the observer implements TraceObserver (or is absent).
+	NoTraces bool
 	// TraceThreshold overrides the chain-head hotness threshold; 0 selects
 	// the default.
 	TraceThreshold int
@@ -207,11 +208,12 @@ func (c *CPU) abort(err error) error {
 
 // Run executes until HALT or until maxInstrs instructions have retired,
 // which guards against runaway programs. The fastest applicable inner loop
-// is chosen automatically: block dispatch (block.go) when the observer
-// implements BlockObserver or is absent, otherwise the per-event predecoded
-// loop "indexed fetch -> call handler -> retire". Set NoBlocks to pin the
-// per-event loop, or Generic for the unspecialized decode-per-step
-// reference interpreter.
+// is chosen automatically: trace dispatch (trace.go) when the observer
+// implements TraceObserver or is absent, block dispatch (block.go) when it
+// implements BlockObserver, otherwise the per-event predecoded loop
+// "indexed fetch -> call handler -> retire". Set NoTraces to pin block
+// dispatch, NoBlocks to pin the per-event loop, or Generic for the
+// unspecialized decode-per-step reference interpreter.
 func (c *CPU) Run(maxInstrs int64) error {
 	if c.Generic {
 		return c.runGeneric(maxInstrs)
@@ -220,7 +222,7 @@ func (c *CPU) Run(maxInstrs int64) error {
 		c.code = Compile(c.Prog)
 	}
 	if !c.NoBlocks {
-		if c.Traces {
+		if !c.NoTraces {
 			if tobs, ok := c.Obs.(TraceObserver); ok {
 				return c.runTrace(maxInstrs, tobs)
 			}

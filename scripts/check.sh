@@ -21,6 +21,12 @@ go build ./...
 echo "==> go test ./... $*"
 go test "$@" ./...
 
+# perfbench (the repository benchmark) is its own module, so `./...` above
+# never compiles it; vet and short-test it so an API change in vm or core
+# cannot break the benchmark unseen.
+echo "==> (cd perfbench && go vet ./... && go test -short ./...)"
+(cd perfbench && go vet ./... && go test -short ./...)
+
 # The goroutine-bearing code — the concurrent suite runner, the memoized
 # registry, the mmxd service (cache single-flight, admission queue,
 # request cancellation), and the fleet coordinator (prober, retries,
