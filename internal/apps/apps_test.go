@@ -1,9 +1,14 @@
 package apps
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"sync"
 	"testing"
 
 	"mmxdsp/internal/core"
+	"mmxdsp/internal/vm"
 )
 
 // runPair runs a family's .c and .mmx versions and returns the comparison.
@@ -184,5 +189,120 @@ func TestNarrativeMetrics(t *testing.T) {
 	if gc.Report.CallRetCycleShare() < 5 || gm.Report.CallRetCycleShare() < 5 {
 		t.Errorf("g722 call/ret shares %.1f%% / %.1f%%, want substantial",
 			gc.Report.CallRetCycleShare(), gm.Report.CallRetCycleShare())
+	}
+}
+
+// TestSharedWorkloadsStayPristine guards the once-per-process workload
+// memos: every build and check reads the same buffers, so a build or check
+// that wrote into one would corrupt every later run. It fingerprints each
+// memoized buffer, builds every program that reads them (the jpeg2d
+// variant shares jpeg.mmx's answer) twice concurrently, runs them all
+// twice, four at a time with checks on, and requires the buffers and the
+// reports to come out unchanged.
+func TestSharedWorkloadsStayPristine(t *testing.T) {
+	shared := map[string]func() any{
+		"imageInput":      func() any { return imageInput() },
+		"imageExpected":   func() any { return imageExpected() },
+		"jpegInput":       func() any { return jpegInput() },
+		"jpegExpectedC":   func() any { return jpegExpectedC() },
+		"jpegExpectedMMX": func() any { return jpegExpectedMMX() },
+		"g722Input":       func() any { return g722Input() },
+	}
+	benches := append(Benchmarks(), JPEGMMX2D())
+	fingerprint := func() map[string][32]byte {
+		out := make(map[string][32]byte, len(shared))
+		for name, get := range shared {
+			out[name] = sha256.Sum256(fmt.Appendf(nil, "%v", get()))
+		}
+		return out
+	}
+	before := fingerprint()
+
+	// Under the race detector, a build that writes anywhere in a shared
+	// array, even past its length, races with its concurrent twin.
+	var wg sync.WaitGroup
+	for _, b := range benches {
+		for i := 0; i < 2; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := b.Build(); err != nil {
+					t.Errorf("%s: %v", b.Name(), err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+
+	var first map[string]string
+	for pass := 0; pass < 2; pass++ {
+		rs, err := core.RunAll(benches, core.Options{Parallelism: 4})
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		for name, sum := range fingerprint() {
+			if sum != before[name] {
+				t.Errorf("pass %d: shared %s changed", pass, name)
+			}
+		}
+		reports := make(map[string]string, len(rs))
+		for name, res := range rs {
+			data, err := json.Marshal(res.Report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports[name] = string(data)
+		}
+		if first == nil {
+			first = reports
+			continue
+		}
+		for name, rep := range reports {
+			if rep != first[name] {
+				t.Errorf("%s: report differs between passes", name)
+			}
+		}
+	}
+}
+
+// TestCheckErrorsNameFirstDifferingByte plants the reference answer in a
+// fresh machine's output buffer, flips one byte, and requires the image
+// and jpeg checks to pass on the exact answer and to name the flipped
+// index otherwise.
+func TestCheckErrorsNameFirstDifferingByte(t *testing.T) {
+	const flip = 12345
+	cases := []struct {
+		bench core.Benchmark
+		sym   string
+		want  []byte
+		err   string
+	}{
+		{Image()[1], "out", imageExpected(),
+			fmt.Sprintf("image.mmx: byte %d = %d, want %d", flip, imageExpected()[flip]^1, imageExpected()[flip])},
+		{JPEG()[0], "stream", jpegExpectedC(),
+			fmt.Sprintf("jpeg.c: stream[%d] = %#x, want %#x", flip, jpegExpectedC()[flip]^1, jpegExpectedC()[flip])},
+	}
+	for _, tc := range cases {
+		prog, err := tc.bench.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu := vm.New(prog)
+		base := prog.Addr(tc.sym)
+		if tc.sym == "stream" && !cpu.Mem.StoreU32(prog.Addr("spos"), base+uint32(len(tc.want))) {
+			t.Fatal("cannot set the stream position")
+		}
+		got := append([]byte(nil), tc.want...)
+		if !cpu.Mem.WriteBytes(base, got) {
+			t.Fatalf("cannot plant %s", tc.sym)
+		}
+		if err := tc.bench.Check(cpu); err != nil {
+			t.Errorf("exact answer rejected: %v", err)
+		}
+		got[flip] ^= 1
+		cpu.Mem.WriteBytes(base, got)
+		if err := tc.bench.Check(cpu); err == nil || err.Error() != tc.err {
+			t.Errorf("flipped byte %d: error %v, want %q", flip, err, tc.err)
+		}
 	}
 }

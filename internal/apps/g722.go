@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"sync"
 
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/core"
@@ -28,14 +29,16 @@ import (
 // overhead the paper blames for g722.mmx's slowdown.
 const g722Samples = 3000 // ~6 kB of 16-bit speech
 
-func g722Input() []int16 {
+// g722Input is synthesized once per process and shared read-only by both
+// versions' builds and checks.
+var g722Input = sync.OnceValue(func() []int16 {
 	speech := synth.Speech(g722Samples, 0x6722)
 	in := make([]int16, len(speech))
 	for i, v := range speech {
 		in[i] = int16(v * 12000)
 	}
 	return in
-}
+})
 
 // G722 returns the g722.c and g722.mmx benchmarks.
 func G722() []core.Benchmark {

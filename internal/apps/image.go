@@ -1,7 +1,9 @@
 package apps
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/core"
@@ -29,13 +31,19 @@ const (
 	imgDB     = -55
 )
 
-func imageInput() []uint8 { return synth.ImageRGB(imgW, imgH, 0x1A6E) }
+// The input image and the reference output are synthesized once per
+// process and shared, read-only, by both versions' builds and checks:
+// Builder.Bytes copies the image into the program, and the checks only
+// compare against the answer.
+var (
+	imageInput = sync.OnceValue(func() []uint8 { return synth.ImageRGB(imgW, imgH, 0x1A6E) })
 
-func imageExpected() []uint8 {
-	return imgproc.Pipeline(imageInput(),
-		imgproc.DimParams{Num: imgDimNum, Den: imgDimDen},
-		imgproc.SwitchParams{DR: imgDR, DG: imgDG, DB: imgDB})
-}
+	imageExpected = sync.OnceValue(func() []uint8 {
+		return imgproc.Pipeline(imageInput(),
+			imgproc.DimParams{Num: imgDimNum, Den: imgDimDen},
+			imgproc.SwitchParams{DR: imgDR, DG: imgDG, DB: imgDB})
+	})
+)
 
 func imageCheck(c *vm.CPU, context string) error {
 	want := imageExpected()
@@ -43,9 +51,11 @@ func imageCheck(c *vm.CPU, context string) error {
 	if !ok {
 		return fmt.Errorf("%s: cannot read output", context)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			return fmt.Errorf("%s: byte %d = %d, want %d", context, i, got[i], want[i])
+	if !bytes.Equal(got, want) {
+		for i := range want {
+			if got[i] != want[i] {
+				return fmt.Errorf("%s: byte %d = %d, want %d", context, i, got[i], want[i])
+			}
 		}
 	}
 	return nil

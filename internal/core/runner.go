@@ -6,11 +6,15 @@
 // Goroutine-safety audit of the shared inputs (why per-run isolation is
 // sufficient):
 //
-//   - Benchmark.Build closures (internal/kernels, internal/apps) construct
-//     a fresh workload per call from a locally seeded synth.Rand and a
-//     fresh asm.Builder; they touch no package-level mutable state.
-//   - Benchmark.Check closures likewise rebuild their reference workload
-//     per call and only read the halted CPU handed to them.
+//   - Benchmark.Build closures (internal/kernels, internal/apps) assemble
+//     into a fresh asm.Builder. Workload inputs that are costly to
+//     synthesize (image, jpeg, g722) are memoized once per process
+//     behind sync.OnceValue and only read: the builder copies them into
+//     the program. The others are built per call from a locally seeded
+//     synth.Rand.
+//   - Benchmark.Check closures compare the halted CPU handed to them
+//     against reference answers that are either computed per call or,
+//     where costly (image, jpeg), memoized the same way and only read.
 //   - Package-level tables reachable from a run (isa.opTable, class/reg
 //     name tables, internal/dsp DCT tables, apps.aanScale) are initialized
 //     at package load and read-only afterwards.

@@ -141,8 +141,8 @@ func asmBodyLimit(maxSourceBytes int) int {
 }
 
 // progName is the internal program identity: source-hash-derived, so
-// compiled-cache keys and interpreter fault strings are deterministic
-// across submissions regardless of the caller-chosen display name.
+// interpreter fault strings are deterministic across submissions
+// regardless of the caller-chosen display name.
 func (a *AsmRequest) progName() string { return "asm:" + a.sourceHash[:12] }
 
 // name is the caller-facing display name.
@@ -168,10 +168,10 @@ func (a *AsmRequest) runRequest() *RunRequest {
 	}
 }
 
-// CacheKey is the affinity/compiled-artifact key: source hash, dispatch
-// and timing config — the triple that pins the compiled artifact, and the
-// string a coordinator rendezvous-hashes so repeat submissions land on the
-// backend already holding it.
+// CacheKey is the affinity key a coordinator rendezvous-hashes: source
+// hash, dispatch and timing config, so repeat submissions land on the
+// backend already holding the compiled artifact (keyed by the source hash
+// alone) and, for the same mode and config, the cached response.
 func (a *AsmRequest) CacheKey() string {
 	rr := a.runRequest()
 	return "asm|h=" + a.sourceHash + "|" + rr.dispatchMode() + "|" + rr.configKey()
@@ -330,8 +330,7 @@ func (s *Server) executeAsm(ctx context.Context, req *AsmRequest, retired *int64
 	}
 	defer release()
 
-	key := cacheKey{program: req.progName(), dispatch: req.runRequest().dispatchMode(), config: req.runRequest().configKey()}
-	comp, hit, err := s.cache.get(key, func() (*core.Compiled, error) {
+	comp, hit, err := s.cache.get("asm:"+req.sourceHash, func() (*core.Compiled, error) {
 		prog, err := asm.ParseSource(req.progName(), req.Source)
 		if err != nil {
 			return nil, err

@@ -21,8 +21,6 @@ import (
 	"mmxdsp/internal/vm"
 )
 
-func key(s string) cacheKey { return cacheKey{program: s, dispatch: "block", config: "default"} }
-
 func compileCounter(n *atomic.Int64) func() (*core.Compiled, error) {
 	return func() (*core.Compiled, error) {
 		n.Add(1)
@@ -34,7 +32,7 @@ func TestCacheHitAndMissCounting(t *testing.T) {
 	c := newCodeCache(4)
 	var compiles atomic.Int64
 	for i := 0; i < 3; i++ {
-		comp, hit, err := c.get(key("a"), compileCounter(&compiles))
+		comp, hit, err := c.get("a", compileCounter(&compiles))
 		if err != nil || comp == nil {
 			t.Fatalf("get %d: %v", i, err)
 		}
@@ -58,7 +56,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := newCodeCache(2)
 	var compiles atomic.Int64
 	fill := func(k string) {
-		if _, _, err := c.get(key(k), compileCounter(&compiles)); err != nil {
+		if _, _, err := c.get(k, compileCounter(&compiles)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +86,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := c.get(key("shared"), compileCounter(&compiles)); err != nil {
+			if _, _, err := c.get("shared", compileCounter(&compiles)); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -109,10 +107,10 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 		}
 		return &core.Compiled{}, nil
 	}
-	if _, _, err := c.get(key("x"), failing); err == nil {
+	if _, _, err := c.get("x", failing); err == nil {
 		t.Fatal("first get did not surface the build error")
 	}
-	comp, _, err := c.get(key("x"), failing)
+	comp, _, err := c.get("x", failing)
 	if err != nil || comp == nil {
 		t.Fatalf("second get: %v (errors must not be cached)", err)
 	}

@@ -210,21 +210,22 @@ func (r *RunRequest) configKey() string {
 		r.Config.cacheSpec().Key())
 }
 
-// CacheKey returns the canonical affinity key for the request: the same
-// (program, dispatch, config) triple the daemon's compiled-program cache
-// keys on. A coordinator that routes on this string lands repeat requests
-// on the backend where the artifact is already compiled, by construction.
+// CacheKey returns the canonical affinity key for the request: the
+// (program, dispatch, config) triple. A coordinator that routes on this
+// string lands repeat requests on the backend whose caches already hold
+// them; the compiled-program cache itself keys on the program alone, so
+// any backend a key routes to compiles each program at most once.
 func (r *RunRequest) CacheKey() string {
 	return r.Program + "|" + r.dispatchMode() + "|" + r.configKey()
 }
 
 // ResultKey returns the canonical result-cache key: CacheKey extended with
 // the fields that shape the response bytes but not the compiled artifact.
-// The compiled-artifact key deliberately omits max_instrs and skip_check —
-// the same code serves every budget — so reusing it verbatim for results
-// would serve wrong bytes (e.g. a budget-truncated run answering an
-// unbounded request). timeout_ms stays out of both keys: it decides
-// whether a run finishes, never what a finished run reports.
+// CacheKey deliberately omits max_instrs and skip_check — the same code
+// serves every budget — so reusing it verbatim for results would serve
+// wrong bytes (e.g. a budget-truncated run answering an unbounded
+// request). timeout_ms stays out of both keys: it decides whether a run
+// finishes, never what a finished run reports.
 func (r *RunRequest) ResultKey() string {
 	return r.CacheKey() + fmt.Sprintf("|mi=%d|sc=%t", r.MaxInstrs, r.SkipCheck)
 }

@@ -38,8 +38,8 @@ import (
 
 // Config tunes the daemon; zero values select the documented defaults.
 type Config struct {
-	// CacheEntries bounds the compiled-program LRU (default 64 — the full
-	// suite in three dispatch modes, with room for ablation configs).
+	// CacheEntries bounds the compiled-program LRU (default 64 — one
+	// artifact per program: the whole suite, with room for /asm sources).
 	CacheEntries int
 	// ResultCacheEntries bounds the result-cache LRU of marshaled response
 	// bytes (default 512; negative disables result caching). Simulation is
@@ -235,14 +235,15 @@ func (s *Server) capInstrs(req int64) (int64, error) {
 	return req, nil
 }
 
-// compiledFor resolves a benchmark through the compiled-program cache.
+// compiledFor resolves a benchmark through the compiled-program cache,
+// which keys on the program alone: one artifact serves every dispatch
+// mode and configuration.
 func (s *Server) compiledFor(req *RunRequest) (*core.Compiled, bool, error) {
 	bench, ok := s.cfg.Lookup(req.Program)
 	if !ok {
 		return nil, false, fmt.Errorf("unknown program %q", req.Program)
 	}
-	key := cacheKey{program: req.Program, dispatch: req.dispatchMode(), config: req.configKey()}
-	return s.cache.get(key, func() (*core.Compiled, error) {
+	return s.cache.get(req.Program, func() (*core.Compiled, error) {
 		return core.CompileBenchmark(bench)
 	})
 }

@@ -23,6 +23,7 @@ import (
 
 	"mmxdsp/internal/asm"
 	"mmxdsp/internal/core"
+	"mmxdsp/internal/pentium"
 	"mmxdsp/internal/server"
 	"mmxdsp/internal/suite"
 )
@@ -245,7 +246,9 @@ func TestWarmCacheSkipsRecompilation(t *testing.T) {
 		t.Errorf("derived gauges not populated: %+v", snap)
 	}
 
-	// A different config must be a distinct cache entry (miss, not hit).
+	// A different config reuses the same compiled artifact (no lowering
+	// specializes on the config), yet its report is the ablated run's:
+	// equal to a direct ablated core.Run, different from the default.
 	status, data = postRun(t, ts.URL, `{"program":"fir.mmx","dispatch":"block","skip_check":true,"config":{"disable_pairing":true}}`)
 	if status != http.StatusOK {
 		t.Fatalf("ablation run: status %d: %s", status, data)
@@ -254,8 +257,126 @@ func TestWarmCacheSkipsRecompilation(t *testing.T) {
 	if err := json.Unmarshal(data, &abl); err != nil {
 		t.Fatal(err)
 	}
-	if abl.CacheHit {
-		t.Error("ablation config falsely shared the default-config cache entry")
+	if !abl.CacheHit {
+		t.Error("ablation config recompiled a program the cache already holds")
+	}
+	bench, ok := suite.ByName("fir.mmx")
+	if !ok {
+		t.Fatal("fir.mmx missing from the suite")
+	}
+	cfg := pentium.DefaultConfig()
+	cfg.DisablePairing = true
+	direct, err := core.Run(bench, core.Options{Dispatch: core.DispatchBlock, SkipCheck: true, Pentium: &cfg})
+	if err != nil {
+		t.Fatalf("direct ablated run: %v", err)
+	}
+	want, err := json.Marshal(direct.Report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := compact(t, abl.Report); got != string(want) {
+		t.Error("ablated report served from the shared artifact differs from a direct ablated core.Run")
+	}
+	if compact(t, abl.Report) == compact(t, cold.Report) {
+		t.Error("ablated report equals the default-config report")
+	}
+	if snap := getMetrics(t, ts.URL); snap.CacheMisses != 1 {
+		t.Errorf("cache_misses = %d after three fir.mmx requests, want 1", snap.CacheMisses)
+	}
+}
+
+// TestEachProgramCompilesOnce pins the compiled-program cache key: one
+// artifact per program, or per source hash for /asm, serves every dispatch
+// mode, timing config and display name, and every report it backs is
+// byte-identical to a direct run with the same options.
+func TestEachProgramCompilesOnce(t *testing.T) {
+	_, ts := newTestServer(t, server.Config{})
+	bench, ok := suite.ByName("fir.mmx")
+	if !ok {
+		t.Fatal("fir.mmx missing from the suite")
+	}
+	noPairing := pentium.DefaultConfig()
+	noPairing.DisablePairing = true
+	configs := []struct {
+		config map[string]any // the request's "config" member; nil for none
+		opt    core.Options
+	}{
+		{nil, core.Options{}},
+		{map[string]any{"disable_pairing": true}, core.Options{Pentium: &noPairing}},
+		{map[string]any{"perfect_cache": true}, core.Options{PerfectCache: true}},
+	}
+	withConfig := func(fields map[string]any, config map[string]any) string {
+		if config != nil {
+			fields["config"] = config
+		}
+		return asmBody(t, fields)
+	}
+	direct := func(comp *core.Compiled, mode string, opt core.Options) string {
+		opt.Dispatch, opt.SkipCheck = mode, true
+		res, err := core.RunCompiled(comp, opt)
+		if err != nil {
+			t.Fatalf("direct %s/%s: %v", comp.Benchmark.Name(), mode, err)
+		}
+		data, err := json.Marshal(res.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+
+	firComp, err := core.CompileBenchmark(bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range core.DispatchModes() {
+		for _, c := range configs {
+			body := withConfig(map[string]any{"program": "fir.mmx", "dispatch": mode, "skip_check": true}, c.config)
+			status, data := postRun(t, ts.URL, body)
+			if status != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", body, status, data)
+			}
+			var env runEnvelope
+			if err := json.Unmarshal(data, &env); err != nil {
+				t.Fatal(err)
+			}
+			if compact(t, env.Report) != direct(firComp, mode, c.opt) {
+				t.Errorf("%s: served report differs from a direct core.RunCompiled", body)
+			}
+		}
+	}
+	if m := getMetrics(t, ts.URL).CacheMisses; m != 1 {
+		t.Errorf("fir.mmx compiled %d times over %d modes x %d configs, want once",
+			m, len(core.DispatchModes()), len(configs))
+	}
+
+	source := sourceOf(t, "fir.mmx")
+	prog, err := asm.ParseSource("fir.listing", source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range core.DispatchModes()[:2] {
+		for _, c := range configs[:2] {
+			for _, name := range []string{"first-name", "second-name"} {
+				body := withConfig(map[string]any{"source": source, "name": name, "dispatch": mode}, c.config)
+				resp, data := postAsm(t, ts.URL, body, nil)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("/asm %s %s %v: status %d: %s", name, mode, c.config, resp.StatusCode, data)
+				}
+				var sub asmEnvelope
+				if err := json.Unmarshal(data, &sub); err != nil {
+					t.Fatal(err)
+				}
+				if sub.Program != name {
+					t.Errorf("/asm %s %s %v: answered as %q", name, mode, c.config, sub.Program)
+				}
+				if compact(t, sub.Report) != direct(core.CompileProgram(name, prog), mode, c.opt) {
+					t.Errorf("/asm %s %s %v: report differs from a direct core.RunCompiled", name, mode, c.config)
+				}
+			}
+		}
+	}
+	if m := getMetrics(t, ts.URL).CacheMisses; m != 2 {
+		t.Errorf("one /asm source over two modes, configs and names: %d compiles in all, want 2 (fir.mmx plus the source)", m)
 	}
 }
 

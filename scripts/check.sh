@@ -34,6 +34,12 @@ echo "==> (cd perfbench && go vet ./... && go test -short ./...)"
 echo "==> go test -race ./internal/core/... ./internal/suite/... ./internal/server/... ./internal/cluster/..."
 go test -race ./internal/core/... ./internal/suite/... ./internal/server/... ./internal/cluster/...
 
+# The image, jpeg and g722 builds and checks read workload inputs and
+# reference answers memoized once per process; concurrent builds and
+# suite runs must leave those shared buffers untouched.
+echo "==> go test -race -run TestSharedWorkloadsStayPristine ./internal/apps"
+go test -race -run TestSharedWorkloadsStayPristine ./internal/apps
+
 # The service end-to-end suite: all 21 programs x 4 dispatch modes over
 # HTTP byte-equivalent to direct runs, the result cache replaying the same
 # sweep byte-identically, the daemon SIGTERM drain, and the spill tier
